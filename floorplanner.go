@@ -265,7 +265,8 @@ type SolveRecord = flight.Record
 
 // RecentSolves returns up to n records of the most recent Solve calls in
 // this process, newest first (n <= 0 returns everything the ring holds).
-// The ring keeps the last flight.DefaultSize solves.
+// The ring keeps the last flight.DefaultSize solves. A floorpland
+// daemon's solves are not here: the daemon records into its own ring.
 func RecentSolves(n int) []SolveRecord { return flight.Default().Last(n) }
 
 // Solve runs the selected engine on the problem. Every solve runs under
@@ -295,28 +296,7 @@ func Solve(ctx context.Context, p *Problem, opts Options) (*Solution, error) {
 		Workers:   opts.Workers,
 		Probe:     opts.Probe,
 	})
-	rec := flight.Record{
-		RequestDigest: guard.RequestDigest(p),
-		Engine:        eng.Name(),
-		Outcome:       string(core.ObsOutcome(sol, err)),
-		DurationMS:    float64(time.Since(started)) / float64(time.Millisecond),
-	}
-	if sol != nil {
-		obj := sol.Objective(p)
-		rec.Objective = &obj
-	}
-	if err != nil {
-		rec.Err = err.Error()
-	}
-	for _, st := range stages.Stages() {
-		rec.Stages = append(rec.Stages, flight.Stage{
-			Engine:    st.Engine,
-			Outcome:   st.Outcome,
-			ElapsedMS: float64(st.Elapsed) / float64(time.Millisecond),
-			Err:       st.Err,
-		})
-	}
-	flight.Default().Record(rec)
+	flight.Default().Record(guard.Record(guard.RequestDigest(p), p, eng.Name(), sol, err, time.Since(started), stages))
 	return sol, err
 }
 

@@ -2,12 +2,13 @@
 // of the most recent solve records, kept in memory for post-mortems and
 // fleet questions ("what did the last 200 solves look like?").
 //
-// Two rings exist in practice. The floorplanner facade records every
-// library-level Solve into the shared Default ring, so any process
-// embedding the library can ask for its recent solve history. The
-// service daemon keeps its own ring (complete with cache-hit records,
-// breaker snapshots and traces) behind GET /debug/solves and the
-// SIGUSR1 JSON dump.
+// Records are built by guard.Record, and each solve lands in exactly
+// one ring. The floorplanner facade records every library-level Solve
+// into the shared Default ring, so any process embedding the library can
+// ask for its recent solve history. The service daemon runs its guarded
+// solves itself and records them, with cache-hit records, breaker
+// snapshots and traces, only into its own ring behind GET /debug/solves
+// and the SIGUSR1 JSON dump.
 //
 // Recording is lock-cheap: one uncontended mutex acquisition and a
 // struct copy into a preallocated slot — no allocation on the record
@@ -30,16 +31,14 @@ import (
 const DefaultSize = 128
 
 // Stage is one fallback-chain stage attempt inside a solve (converted
-// from guard.StageTiming at the recording boundary).
+// from guard.StageTiming by guard.Record).
 type Stage struct {
 	// Engine names the stage's member engine.
 	Engine string `json:"engine"`
 	// Outcome labels how the stage ended: an obs outcome ("solved",
-	// "no_solution", "panic", ...) or "skipped" for breaker-gated stages
-	// that never ran.
+	// "no_solution", "panic", ...).
 	Outcome string `json:"outcome"`
-	// ElapsedMS is the stage's wall-clock in milliseconds (0 when
-	// skipped).
+	// ElapsedMS is the stage's wall-clock in milliseconds.
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// Err carries the stage's error text, when it failed.
 	Err string `json:"err,omitempty"`

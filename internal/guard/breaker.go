@@ -10,13 +10,6 @@ import (
 	"repro/internal/core"
 )
 
-// ErrBreakersOpen reports that a solve could not run at all because
-// every candidate engine's circuit breaker was open. It is a retryable
-// condition (the engines are cooling down), distinct from ErrNoSolution
-// (the budget was genuinely spent): servers should map it to a 503 with
-// Retry-After rather than a definitive "no solution" answer.
-var ErrBreakersOpen = errors.New("guard: all circuit breakers open")
-
 // BreakerState is a circuit breaker's effective state.
 type BreakerState int
 
@@ -62,15 +55,13 @@ const (
 
 // BreakerOutcomeOf classifies an engine result for breaker accounting:
 // definitive answers (nil error, proven infeasibility) are successes;
-// budget, cancellation, and breakers-open outcomes are neutral;
-// everything else — panics, invalid solutions, unexpected errors — is a
-// failure.
+// budget and cancellation outcomes are neutral; everything else —
+// panics, invalid solutions, unexpected errors — is a failure.
 func BreakerOutcomeOf(err error) BreakerOutcome {
 	switch {
 	case err == nil, errors.Is(err, core.ErrInfeasible):
 		return BreakerSuccess
 	case errors.Is(err, core.ErrNoSolution),
-		errors.Is(err, ErrBreakersOpen),
 		errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):
 		return BreakerNeutral

@@ -91,9 +91,27 @@ func NewChaos(inner core.Engine, cfg ChaosConfig) *Chaos {
 }
 
 // NewChaosInjector builds a Chaos with no inner engine, for callers
-// that inject faults around an arbitrary solve function via Apply (the
-// daemon's -chaos flag wraps its whole dispatch path this way).
+// that inject faults around other engines via Around or Apply (the
+// daemon's -chaos flag wraps every engine it resolves this way).
 func NewChaosInjector(cfg ChaosConfig) *Chaos { return NewChaos(nil, cfg) }
+
+// Around returns inner with this injector's faults applied to every
+// Solve. All engines wrapped by one injector consume its one schedule,
+// and the wrapper keeps inner's name.
+func (c *Chaos) Around(inner core.Engine) core.Engine { return chaosAround{c: c, inner: inner} }
+
+type chaosAround struct {
+	c     *Chaos
+	inner core.Engine
+}
+
+func (e chaosAround) Name() string { return e.inner.Name() }
+
+func (e chaosAround) Solve(ctx context.Context, p *core.Problem, opts core.SolveOptions) (*core.Solution, error) {
+	return e.c.Apply(ctx, p, func(ctx context.Context) (*core.Solution, error) {
+		return e.inner.Solve(ctx, p, opts)
+	})
+}
 
 // Name implements core.Engine: "chaos(<inner>)", or "chaos" for an
 // injector with no inner engine.
@@ -161,8 +179,7 @@ func (c *Chaos) Solve(ctx context.Context, p *core.Problem, opts core.SolveOptio
 
 // Apply consumes one schedule entry and applies it around inner: panic,
 // error and invalid faults replace the call; none and delay run it
-// (after the sleep). This is the injector form used by the daemon,
-// where "inner" is the whole guarded dispatch path, not a core.Engine.
+// (after the sleep). Solve and Around are built on it.
 func (c *Chaos) Apply(ctx context.Context, p *core.Problem, inner func(context.Context) (*core.Solution, error)) (*core.Solution, error) {
 	n, fault := c.next()
 	switch fault {

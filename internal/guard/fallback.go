@@ -34,10 +34,6 @@ type FallbackMember struct {
 type Fallback struct {
 	// Members are the chain stages, in preference order.
 	Members []FallbackMember
-	// Breakers, when non-nil, gates members through per-engine circuit
-	// breakers: members whose breaker is open are skipped for this solve
-	// and every admitted run records its outcome.
-	Breakers *BreakerSet
 }
 
 // NewFallback builds a fallback chain over the given members.
@@ -76,7 +72,6 @@ func (f *Fallback) Solve(ctx context.Context, p *core.Problem, opts core.SolveOp
 	stages := StageLogFrom(ctx) // nil outside a collecting caller
 	var faults []error
 	hardFault := false
-	skipped := 0
 	for i, m := range f.Members {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
@@ -85,18 +80,6 @@ func (f *Fallback) Solve(ctx context.Context, p *core.Problem, opts core.SolveOp
 			break
 		}
 		name := m.Engine.Name()
-		var br *Breaker
-		if f.Breakers != nil {
-			br = f.Breakers.For(name)
-			if !br.Allow() {
-				skipped++
-				faults = append(faults, fmt.Errorf("%s: circuit breaker open", name))
-				if stages != nil {
-					stages.add(StageTiming{Engine: name, Outcome: StageOutcomeSkipped})
-				}
-				continue
-			}
-		}
 		stageOpts := opts
 		if !deadline.IsZero() {
 			stageOpts.TimeLimit = time.Until(deadline) / time.Duration(len(f.Members)-i)
@@ -113,9 +96,6 @@ func (f *Fallback) Solve(ctx context.Context, p *core.Problem, opts core.SolveOp
 				st.Err = stageErr.Error()
 			}
 			stages.add(st)
-		}
-		if br != nil {
-			br.Record(BreakerOutcomeOf(stageErr))
 		}
 		switch {
 		case stageErr == nil:
@@ -150,12 +130,6 @@ func (f *Fallback) Solve(ctx context.Context, p *core.Problem, opts core.SolveOp
 			hardFault = true
 			faults = append(faults, fmt.Errorf("%s: %w", name, stageErr))
 		}
-	}
-	if skipped == len(f.Members) {
-		// No member ran at all: the engines are cooling down, not the
-		// budget exhausted. A distinct sentinel lets the daemon answer
-		// retryable (503) instead of definitive "no_solution".
-		return nil, fmt.Errorf("guard: no fallback member admitted a run: %w", ErrBreakersOpen)
 	}
 	if !hardFault {
 		return nil, fmt.Errorf("guard: no fallback member found a solution within the budget: %w", core.ErrNoSolution)

@@ -169,38 +169,6 @@ func TestFallbackHardFaultDoesNotLeakStageSentinels(t *testing.T) {
 	}
 }
 
-// TestFallbackAllBreakersOpen: when every member is skipped because its
-// breaker is open, no engine ran at all, so the chain must report the
-// retryable ErrBreakersOpen — not ErrNoSolution, which the daemon would
-// serve as a definitive "budget exhausted" answer.
-func TestFallbackAllBreakersOpen(t *testing.T) {
-	p := testProblem(t)
-	clk := newFakeClock()
-	set := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Hour, Clock: clk.Now})
-	f := &Fallback{
-		Members: []FallbackMember{
-			{Engine: panicEngine("boom-a")},
-			{Engine: panicEngine("boom-b")},
-		},
-		Breakers: set,
-	}
-	// First solve trips both breakers (each member panics once).
-	if _, err := f.Solve(context.Background(), p, core.SolveOptions{TimeLimit: time.Second}); err == nil {
-		t.Fatal("all-panicking chain returned nil error")
-	}
-	// Second solve: every member is skipped, nothing runs.
-	_, err := f.Solve(context.Background(), p, core.SolveOptions{TimeLimit: time.Second})
-	if !errors.Is(err, ErrBreakersOpen) {
-		t.Fatalf("want ErrBreakersOpen, got %v", err)
-	}
-	if errors.Is(err, core.ErrNoSolution) {
-		t.Errorf("breaker-skip outcome masquerades as ErrNoSolution: %v", err)
-	}
-	if got := BreakerOutcomeOf(err); got != BreakerNeutral {
-		t.Errorf("BreakerOutcomeOf = %v, want BreakerNeutral", got)
-	}
-}
-
 func TestFallbackHonorsCancellation(t *testing.T) {
 	p := testProblem(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -209,40 +177,6 @@ func TestFallbackHonorsCancellation(t *testing.T) {
 	_, err := f.Solve(ctx, p, core.SolveOptions{TimeLimit: time.Second})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled context not honored: %v", err)
-	}
-}
-
-func TestFallbackSkipsOpenBreaker(t *testing.T) {
-	p := testProblem(t)
-	clk := newFakeClock()
-	set := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Hour, Clock: clk.Now})
-	boomCalls := 0
-	boom := &stubEngine{name: "boom", fn: func(context.Context, *core.Problem, core.SolveOptions) (*core.Solution, error) {
-		boomCalls++
-		panic("boom")
-	}}
-	f := &Fallback{
-		Members: []FallbackMember{
-			{Engine: boom},
-			{Engine: goodEngine("good")},
-		},
-		Breakers: set,
-	}
-	// First solve: boom panics and trips its breaker, good wins.
-	sol, err := f.Solve(context.Background(), p, core.SolveOptions{TimeLimit: time.Second})
-	if err != nil || sol.Engine != "fallback(good)" {
-		t.Fatalf("solve 1: %v, %v", sol, err)
-	}
-	if st := set.For("boom").State(); st != BreakerOpen {
-		t.Fatalf("boom breaker = %v, want open", st)
-	}
-	// Second solve: boom's breaker is open, so boom is never called again.
-	sol, err = f.Solve(context.Background(), p, core.SolveOptions{TimeLimit: time.Second})
-	if err != nil || sol.Engine != "fallback(good)" {
-		t.Fatalf("solve 2: %v, %v", sol, err)
-	}
-	if boomCalls != 1 {
-		t.Errorf("boom called %d times, want 1 (breaker should skip it)", boomCalls)
 	}
 }
 

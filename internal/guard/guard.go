@@ -4,9 +4,12 @@
 // fallbacks, trips per-engine circuit breakers on repeated failures, and
 // injects deterministic faults for chaos testing.
 //
-// Like the obs telemetry layer, guard wraps any core.Engine without
-// changing the Engine interface, so the serving stack composes it freely
-// around real solvers, portfolios and test stubs:
+// Wrap is the one guarded solve path: the facade, the daemon, portfolio
+// members, fallback stages and session fallbacks all run their engines
+// through it, and Record describes each guarded solve for the flight
+// recorder. Like the obs telemetry layer, guard wraps any core.Engine
+// without changing the Engine interface, so it composes freely around
+// real solvers, portfolios and test stubs:
 //
 //	eng := guard.Wrap(&exact.Engine{})        // panics -> PanicError,
 //	                                          // invalid -> InvalidSolutionError

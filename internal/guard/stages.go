@@ -4,12 +4,10 @@ import (
 	"context"
 	"sync"
 	"time"
-)
 
-// StageOutcomeSkipped labels a fallback stage that never ran because its
-// engine's circuit breaker was open. Every other stage outcome is one of
-// the obs outcome labels ("solved", "no_solution", "panic", ...).
-const StageOutcomeSkipped = "skipped"
+	"repro/internal/core"
+	"repro/internal/flight"
+)
 
 // StageTiming records one fallback-chain stage attempt: which member
 // engine ran, how it ended, and how long it took. The flight recorder
@@ -18,9 +16,9 @@ const StageOutcomeSkipped = "skipped"
 type StageTiming struct {
 	// Engine names the stage's member engine.
 	Engine string
-	// Outcome is the stage's obs outcome label, or StageOutcomeSkipped.
+	// Outcome is the stage's obs outcome label ("solved", "panic", ...).
 	Outcome string
-	// Elapsed is the stage's wall-clock (zero when skipped).
+	// Elapsed is the stage's wall-clock.
 	Elapsed time.Duration
 	// Err is the stage's error text, when it failed.
 	Err string
@@ -51,8 +49,8 @@ type stageLogKey struct{}
 
 // WithStageLog returns a context carrying a stage-timing collector and
 // the collector itself. If ctx already carries one, it is reused — so a
-// serving layer that installs the log before dispatch and a facade that
-// installs it inside both observe the same stages.
+// caller that installs the log and then calls floorplanner.Solve, which
+// installs it too, observes the same stages.
 func WithStageLog(ctx context.Context) (context.Context, *StageLog) {
 	if l := StageLogFrom(ctx); l != nil {
 		return ctx, l
@@ -66,3 +64,39 @@ func StageLogFrom(ctx context.Context) *StageLog {
 	l, _ := ctx.Value(stageLogKey{}).(*StageLog)
 	return l
 }
+
+// Record describes one finished guarded solve of p as a flight record:
+// the request digest, engine, outcome, objective, error text, duration
+// and the stage log's timings (stages may be nil). digest is p's
+// RequestDigest; callers that need it before the solve (profile labels)
+// pass the value they already hold, so a solve is hashed once. Every
+// input is safe to read while an abandoned solve is still running: the
+// result pair, a caller-measured duration and the locked stage log.
+func Record(digest string, p *core.Problem, engine string, sol *core.Solution, err error, elapsed time.Duration, stages *StageLog) flight.Record {
+	rec := flight.Record{
+		RequestDigest: digest,
+		Engine:        engine,
+		Outcome:       string(core.ObsOutcome(sol, err)),
+		DurationMS:    durationMS(elapsed),
+	}
+	if sol != nil {
+		obj := sol.Objective(p)
+		rec.Objective = &obj
+	}
+	if err != nil {
+		rec.Err = err.Error()
+	}
+	if stages != nil {
+		for _, st := range stages.Stages() {
+			rec.Stages = append(rec.Stages, flight.Stage{
+				Engine:    st.Engine,
+				Outcome:   st.Outcome,
+				ElapsedMS: durationMS(st.Elapsed),
+				Err:       st.Err,
+			})
+		}
+	}
+	return rec
+}
+
+func durationMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -45,35 +45,6 @@ func TestFallbackRecordsStageTimings(t *testing.T) {
 	}
 }
 
-func TestFallbackRecordsSkippedStages(t *testing.T) {
-	p := testProblem(t)
-	brs := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Hour})
-	// Trip the boom breaker.
-	brs.For("boom").Record(BreakerFailure)
-	f := NewFallback(
-		FallbackMember{Engine: panicEngine("boom")},
-		FallbackMember{Engine: goodEngine("good")},
-	)
-	f.Breakers = brs
-	ctx, log := WithStageLog(context.Background())
-	if _, err := f.Solve(ctx, p, core.SolveOptions{TimeLimit: 5 * time.Second}); err != nil {
-		t.Fatalf("fallback failed: %v", err)
-	}
-	stages := log.Stages()
-	if len(stages) != 2 {
-		t.Fatalf("recorded %d stages, want 2: %+v", len(stages), stages)
-	}
-	if stages[0].Engine != "boom" || stages[0].Outcome != StageOutcomeSkipped {
-		t.Errorf("stage 0 = %s/%s, want boom/%s", stages[0].Engine, stages[0].Outcome, StageOutcomeSkipped)
-	}
-	if stages[0].Elapsed != 0 {
-		t.Errorf("skipped stage has elapsed %v, want 0", stages[0].Elapsed)
-	}
-	if stages[1].Engine != "good" || stages[1].Outcome != "solved" {
-		t.Errorf("stage 1 = %s/%s, want good/solved", stages[1].Engine, stages[1].Outcome)
-	}
-}
-
 func TestWithStageLogReusesExisting(t *testing.T) {
 	ctx, outer := WithStageLog(context.Background())
 	ctx2, inner := WithStageLog(ctx)

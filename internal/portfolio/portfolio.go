@@ -70,11 +70,6 @@ type Portfolio struct {
 	Grace time.Duration
 	// Stats, when non-nil, receives per-member race/win/latency counts.
 	Stats *Stats
-	// Breakers, when non-nil, gates members through per-engine circuit
-	// breakers: a member whose breaker is open sits this race out, and
-	// every admitted run records its outcome, so a crash-looping member
-	// stops burning race slots until its cooldown probe succeeds.
-	Breakers *guard.BreakerSet
 }
 
 // New returns a Portfolio over the given members (default set when none
@@ -152,40 +147,15 @@ func (pf *Portfolio) Solve(ctx context.Context, p *core.Problem, opts core.Solve
 	}
 
 	results := make(chan outcome, len(members))
-	launched := 0
 	for i, m := range members {
-		var br *guard.Breaker
-		if pf.Breakers != nil {
-			br = pf.Breakers.For(m.Engine.Name())
-			if !br.Allow() {
-				continue
-			}
-		}
-		launched++
-		go func(i int, m Member, br *guard.Breaker) {
+		go func(i int, m Member) {
 			ms := time.Now()
-			// Protect isolates member panics: one buggy engine must not
-			// take down the whole race (or the serving worker).
-			sol, err := guard.Protect(m.Engine.Name(), p, func() (*core.Solution, error) {
-				return m.Engine.Solve(raceCtx, p, memberOpts)
-			})
-			if err == nil && sol == nil {
-				err = fmt.Errorf("portfolio: member %s returned nil solution with nil error", m.Engine.Name())
-			}
-			if err == nil {
-				if verr := sol.Validate(p); verr != nil {
-					// A member must not win with an illegal floorplan.
-					sol, err = nil, fmt.Errorf("portfolio: member %s returned invalid solution: %w", m.Engine.Name(), verr)
-				}
-			}
-			if br != nil {
-				br.Record(guard.BreakerOutcomeOf(err))
-			}
+			// The guard isolates member panics (one buggy engine must not
+			// take down the whole race, or the serving worker) and keeps
+			// illegal floorplans from winning.
+			sol, err := guard.Wrap(m.Engine).Solve(raceCtx, p, memberOpts)
 			results <- outcome{idx: i, sol: sol, err: err, elapsed: time.Since(ms)}
-		}(i, m, br)
-	}
-	if launched == 0 {
-		return nil, fmt.Errorf("portfolio: every member's circuit breaker is open: %w", core.ErrNoSolution)
+		}(i, m)
 	}
 
 	// stopAt bounds the whole collection; it tightens to now+grace once a
@@ -224,7 +194,7 @@ func (pf *Portfolio) Solve(ctx context.Context, p *core.Problem, opts core.Solve
 		accepted   bool
 	)
 collect:
-	for got := 0; got < launched; got++ {
+	for got := 0; got < len(members); got++ {
 		var out outcome
 		select {
 		case out = <-results:

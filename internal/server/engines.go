@@ -5,34 +5,47 @@ import (
 
 	floorplanner "repro"
 	"repro/internal/core"
+	"repro/internal/guard"
 	"repro/internal/portfolio"
 )
 
-// defaultSolve dispatches to the public floorplanner entry point, so the
-// daemon serves exactly what the library computes — including solution
-// validation against the problem.
-func defaultSolve(ctx context.Context, p *core.Problem, engine string, opts core.SolveOptions) (*core.Solution, error) {
-	return floorplanner.Solve(ctx, p, floorplanner.Options{
-		Engine:    engine,
-		TimeLimit: opts.TimeLimit,
-		Seed:      opts.Seed,
-		Workers:   opts.Workers,
-		Probe:     opts.Probe,
-	})
+// engine resolves the named engine the way the floorplanner facade does
+// (the "fallback" engine over the server's chain, empty = the library
+// default), or adapts the Config.Solve override. The chaos injector,
+// when enabled, sits inside the guard, so injected panics and poison
+// solutions meet the same recovery and verification the real thing
+// would; the guard runs exactly once per solve.
+func (s *Server) engine(name string) (core.Engine, error) {
+	var eng core.Engine
+	var err error
+	switch {
+	case s.cfg.Solve != nil:
+		eng = solveFuncEngine{name: name, solve: s.cfg.Solve}
+	case name == "fallback":
+		eng, err = floorplanner.NewFallback(s.cfg.FallbackChain...)
+	default:
+		eng, err = floorplanner.NewEngine(name)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if s.chaos != nil {
+		eng = s.chaos.Around(eng)
+	}
+	return guard.Wrap(eng), nil
 }
 
-// defaultFallbackSolve dispatches to the "fallback" meta-engine with the
-// server's configured degradation chain (empty = the library default:
-// exact, milp-ho, constructive).
-func defaultFallbackSolve(ctx context.Context, p *core.Problem, chain []string, opts core.SolveOptions) (*core.Solution, error) {
-	return floorplanner.Solve(ctx, p, floorplanner.Options{
-		Engine:    "fallback",
-		Members:   chain,
-		TimeLimit: opts.TimeLimit,
-		Seed:      opts.Seed,
-		Workers:   opts.Workers,
-		Probe:     opts.Probe,
-	})
+// solveFuncEngine adapts a SolveFunc to core.Engine under the requested
+// engine name.
+type solveFuncEngine struct {
+	name  string
+	solve SolveFunc
+}
+
+func (e solveFuncEngine) Name() string { return e.name }
+
+func (e solveFuncEngine) Solve(ctx context.Context, p *core.Problem, opts core.SolveOptions) (*core.Solution, error) {
+	return e.solve(ctx, p, e.name, opts)
 }
 
 // defaultEngineNames lists the engines the default solver accepts.

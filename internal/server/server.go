@@ -1,6 +1,6 @@
 // Package server implements the floorplanning service daemon: an
-// HTTP/JSON front end over floorplanner.Solve that amortizes repeated
-// solves and bounds concurrency.
+// HTTP/JSON front end over the floorplanner engines that amortizes
+// repeated solves and bounds concurrency.
 //
 // Request flow (see DESIGN.md, "The service daemon"):
 //
@@ -9,7 +9,7 @@
 //	    → LRU solution cache lookup                         (cache.go)
 //	    → single-flight join of identical in-flight solves  (cache.go)
 //	    → bounded worker pool with queue backpressure       (pool.go)
-//	    → engine (exact, milp-o, milp-ho, heuristics)
+//	    → guard.Wrap around the resolved engine             (engines.go)
 //
 // Definitive outcomes — a validated solution or a proven infeasibility —
 // are cached; transient failures (timeouts, cancellations, shutdown) are
@@ -47,8 +47,8 @@ import (
 // open: the engine failed repeatedly and is cooling down (HTTP 503).
 var errBreakerOpen = errors.New("server: engine circuit breaker is open")
 
-// SolveFunc computes a floorplan for p with the named engine. The
-// default implementation dispatches through the floorplanner package;
+// SolveFunc computes a floorplan for p with the named engine. By default
+// the server resolves the engine through the floorplanner package;
 // tests substitute controlled solvers.
 type SolveFunc func(ctx context.Context, p *core.Problem, engine string, opts core.SolveOptions) (*core.Solution, error)
 
@@ -146,10 +146,12 @@ type Config struct {
 	// 250ms, clamped below ProfileEvery).
 	ProfileCPUDuration time.Duration
 	// Chaos, when non-nil, injects faults (panics, invalid solutions,
-	// errors, delays) around the whole dispatch path — the fire drill
-	// for the guard and diag layers. See guard.ParseChaosSpec.
+	// errors, delays) into every solve, inside the guard, from one
+	// schedule shared by all engines — the fire drill for the guard and
+	// diag layers. See guard.ParseChaosSpec.
 	Chaos *guard.ChaosConfig
-	// Solve overrides the solver (tests); nil uses floorplanner.Solve.
+	// Solve overrides the solver (tests); nil resolves the named engine
+	// through the floorplanner package. Either way it runs guarded.
 	Solve SolveFunc
 	// Logger receives structured request logs; nil uses slog.Default.
 	Logger *slog.Logger
@@ -517,24 +519,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// A cache hit gets its own flight record, linked by OriginSeq to
 		// the record of the solve that populated the entry and carrying
 		// that solve's trace — never a fabricated one.
-		frec := flight.Record{
-			RequestDigest: guard.RequestDigest(req.Problem),
-			Key:           key,
-			Engine:        engine,
-			Outcome:       outcomeLabel(entry.sol, entry.err),
-			Cached:        true,
-			OriginSeq:     entry.flightSeq,
-			Trace:         entry.trace,
-		}
-		if entry.sol != nil {
-			obj := entry.sol.Objective(req.Problem)
-			frec.Objective = &obj
-		}
-		if entry.err != nil {
-			frec.Err = entry.err.Error()
-		}
-		frec.Seq = s.recordFlight(frec)
-		s.observeSolve(r.Context(), frec, opts.TimeLimit, entry.err)
+		frec := guard.Record(guard.RequestDigest(req.Problem), req.Problem, engine, entry.sol, entry.err, 0, nil)
+		frec.Key, frec.Cached, frec.OriginSeq, frec.Trace = key, true, entry.flightSeq, entry.trace
+		s.recordSolve(r.Context(), frec, opts.TimeLimit, entry.err)
 		s.respondEntry(w, r, key, engine, req.Problem, entry, true, false, req.Trace)
 		return
 	}
@@ -560,26 +547,25 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 // runSolve is the single-flight leader path: queue on the pool, run the
-// engine under a recording probe, record metrics and telemetry, and cache
-// definitive outcomes (trace included, so cached answers keep their
-// trajectory).
+// guarded engine under a recording probe, record metrics and telemetry,
+// and cache definitive outcomes (trace included, so cached answers keep
+// their trajectory).
 func (s *Server) runSolve(ctx context.Context, key, engine string, p *core.Problem, opts core.SolveOptions) cacheEntry {
 	started := time.Now()
-	frec := flight.Record{
-		RequestDigest: guard.RequestDigest(p),
-		Key:           key,
-		Engine:        engine,
+	digest := guard.RequestDigest(p)
+	// fail records an outcome that never reached the engine.
+	fail := func(err error, elapsed time.Duration) cacheEntry {
+		frec := guard.Record(digest, p, engine, nil, err, elapsed, nil)
+		frec.Key = key
+		s.recordSolve(ctx, frec, opts.TimeLimit, err)
+		return cacheEntry{err: err}
 	}
 	var br *guard.Breaker
 	if s.breakers != nil {
 		br = s.breakers.For(engine)
 		if !br.Allow() {
 			s.metrics.breakerRejected.Add(1)
-			frec.Outcome = outcomeLabel(nil, errBreakerOpen)
-			frec.Err = errBreakerOpen.Error()
-			frec.Seq = s.recordFlight(frec)
-			s.observeSolve(ctx, frec, opts.TimeLimit, errBreakerOpen)
-			return cacheEntry{err: errBreakerOpen}
+			return fail(errBreakerOpen, 0)
 		}
 	}
 	rec := obs.NewRecorder()
@@ -590,10 +576,9 @@ func (s *Server) runSolve(ctx context.Context, key, engine string, p *core.Probl
 		Engine:    engine,
 		Phase:     "solve",
 		Endpoint:  "/v1/solve",
-		Digest:    frec.RequestDigest,
+		Digest:    digest,
 		RequestID: requestID(ctx),
 	}
-	frec.LabelDigest = labels.JoinDigest()
 	lprobe := diag.NewLabelProbe(rec)
 	opts.Probe = lprobe
 	// The stage log collects fallback-chain stage timings; the pool hands
@@ -602,16 +587,12 @@ func (s *Server) runSolve(ctx context.Context, key, engine string, p *core.Probl
 	run := func(ctx context.Context) (*core.Solution, error) {
 		s.metrics.solvesStarted.Add(1)
 		solveStarted := time.Now()
-		// Guard boundary: engine panics become structured errors and every
-		// solution is re-verified before it can be cached or served —
-		// regardless of which SolveFunc produced it.
-		sol, err := guard.Protect(engine, p, func() (*core.Solution, error) {
-			return s.dispatch(ctx, p, engine, opts)
-		})
+		// The guarded engine recovers panics and verifies every solution
+		// before it can be cached or served, whichever engine produced it.
+		eng, err := s.engine(engine)
+		var sol *core.Solution
 		if err == nil {
-			if verr := guard.CheckSolution(engine, p, sol); verr != nil {
-				sol, err = nil, verr
-			}
+			sol, err = eng.Solve(ctx, p, opts)
 		}
 		s.metrics.observeLatency(engine, time.Since(solveStarted))
 		var panicked *guard.PanicError
@@ -656,14 +637,13 @@ func (s *Server) runSolve(ctx context.Context, key, engine string, p *core.Probl
 		if errors.Is(err, errQueueFull) {
 			s.metrics.queueRejected.Add(1)
 		}
-		frec.Outcome = outcomeLabel(nil, err)
-		frec.Err = err.Error()
-		frec.DurationMS = durationMS(time.Since(started))
-		frec.Seq = s.recordFlight(frec)
-		s.observeSolve(ctx, frec, opts.TimeLimit, err)
-		return cacheEntry{err: err}
+		return fail(err, time.Since(started))
 	}
 	sol, err := task.wait(ctx)
+	// Duration is measured here, not in the pool closure: wait can return
+	// early on context expiry while the closure still runs, and closure
+	// state must not be read after an early return.
+	elapsed := time.Since(started)
 	if br != nil {
 		if errors.Is(err, errShuttingDown) {
 			br.Record(guard.BreakerNeutral)
@@ -681,6 +661,10 @@ func (s *Server) runSolve(ctx context.Context, key, engine string, p *core.Probl
 	if first, best, ok := rec.IncumbentTimes(engine); ok {
 		s.metrics.recordIncumbentTimes(engine, first, best)
 	}
+	frec := guard.Record(digest, p, engine, sol, err, elapsed, stageLog)
+	frec.Key = key
+	frec.LabelDigest = labels.JoinDigest()
+	frec.Trace = rec.Trace()
 	s.log.Info("solve telemetry",
 		"request_id", requestID(ctx),
 		"key", key,
@@ -688,32 +672,9 @@ func (s *Server) runSolve(ctx context.Context, key, engine string, p *core.Probl
 		"nodes", nodes,
 		"pivots", pivots,
 		"incumbents", incumbents,
-		"outcome", outcomeLabel(sol, err),
+		"outcome", frec.Outcome,
 	)
-	frec.Outcome = outcomeLabel(sol, err)
-	// Duration is measured here, not in the pool closure: wait can return
-	// early on context expiry while the closure still runs, and closure
-	// state must not be read after an early return.
-	frec.DurationMS = durationMS(time.Since(started))
-	if sol != nil {
-		obj := sol.Objective(p)
-		frec.Objective = &obj
-	}
-	if err != nil {
-		frec.Err = err.Error()
-	}
-	for _, st := range stageLog.Stages() {
-		frec.Stages = append(frec.Stages, flight.Stage{
-			Engine:    st.Engine,
-			Outcome:   st.Outcome,
-			ElapsedMS: durationMS(st.Elapsed),
-			Err:       st.Err,
-		})
-	}
-	frec.Trace = rec.Trace()
-	seq := s.recordFlight(frec)
-	frec.Seq = seq
-	s.observeSolve(ctx, frec, opts.TimeLimit, err)
+	seq := s.recordSolve(ctx, frec, opts.TimeLimit, err)
 	entry := cacheEntry{sol: sol, err: err, trace: frec.Trace, flightSeq: seq}
 	if err == nil || errors.Is(err, core.ErrInfeasible) {
 		s.cache.put(key, entry)
@@ -736,11 +697,12 @@ func (s *Server) recordFlight(rec flight.Record) int64 {
 	return s.flight.Record(rec)
 }
 
-// observeSolve feeds one finished solve into the wide-event pipeline and
-// the SLO tracker. The flight record must already carry its ring
-// sequence (frec.Seq) so the exported event and /debug/solves agree on
-// identity.
-func (s *Server) observeSolve(ctx context.Context, frec flight.Record, budget time.Duration, err error) {
+// recordSolve appends one finished solve to the flight ring, then feeds
+// it, carrying its ring sequence, into the wide-event pipeline and the
+// SLO tracker, so the exported event and /debug/solves agree on
+// identity. It returns the assigned sequence.
+func (s *Server) recordSolve(ctx context.Context, frec flight.Record, budget time.Duration, err error) int64 {
+	frec.Seq = s.recordFlight(frec)
 	ev := telemetry.Event{
 		Record:    frec,
 		Kind:      "solve",
@@ -756,17 +718,16 @@ func (s *Server) observeSolve(ctx context.Context, frec flight.Record, budget ti
 	}
 	s.events.Emit(ev)
 	s.triggerDiag(frec, ev)
-	failed, counted := sloCounts(err)
-	if !counted {
-		return
+	if failed, counted := sloCounts(err); counted {
+		s.slos.Record(slo.Sample{
+			Engine:   frec.Engine,
+			Endpoint: "/v1/solve",
+			Failed:   failed,
+			Duration: time.Duration(frec.DurationMS * float64(time.Millisecond)),
+			Budget:   budget,
+		})
 	}
-	s.slos.Record(slo.Sample{
-		Engine:   frec.Engine,
-		Endpoint: "/v1/solve",
-		Failed:   failed,
-		Duration: time.Duration(frec.DurationMS * float64(time.Millisecond)),
-		Budget:   budget,
-	})
+	return frec.Seq
 }
 
 // sloCounts classifies a solve error for the SLO tracker: failed says
@@ -795,34 +756,6 @@ func sloCounts(err error) (failed, counted bool) {
 // durationMS converts a duration to float milliseconds for wire records.
 func durationMS(d time.Duration) float64 {
 	return float64(d) / float64(time.Millisecond)
-}
-
-// outcomeLabel names a solve outcome for the telemetry log line.
-func outcomeLabel(sol *core.Solution, err error) string {
-	return string(core.ObsOutcome(sol, err))
-}
-
-// dispatch runs the configured solver, with the chaos injector (when
-// enabled) applying its scheduled fault around the whole path — inside
-// the guard boundary, so injected panics and poison solutions exercise
-// the same recovery the real thing would.
-func (s *Server) dispatch(ctx context.Context, p *core.Problem, engine string, opts core.SolveOptions) (*core.Solution, error) {
-	if s.chaos != nil {
-		return s.chaos.Apply(ctx, p, func(ctx context.Context) (*core.Solution, error) {
-			return s.solve(ctx, p, engine, opts)
-		})
-	}
-	return s.solve(ctx, p, engine, opts)
-}
-
-func (s *Server) solve(ctx context.Context, p *core.Problem, engine string, opts core.SolveOptions) (*core.Solution, error) {
-	if s.cfg.Solve != nil {
-		return s.cfg.Solve(ctx, p, engine, opts)
-	}
-	if engine == "fallback" {
-		return defaultFallbackSolve(ctx, p, s.cfg.FallbackChain, opts)
-	}
-	return defaultSolve(ctx, p, engine, opts)
 }
 
 // respondEntry translates a solve outcome into the HTTP reply. wantTrace
@@ -854,7 +787,7 @@ func (s *Server) respondEntry(w http.ResponseWriter, r *http.Request, key, engin
 	case errors.Is(entry.err, errQueueFull):
 		w.Header().Set("Retry-After", s.retryAfter())
 		s.writeError(w, http.StatusTooManyRequests, "solve queue is full, retry later")
-	case errors.Is(entry.err, errBreakerOpen), errors.Is(entry.err, guard.ErrBreakersOpen):
+	case errors.Is(entry.err, errBreakerOpen):
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.BreakerCooldown/time.Second)+1))
 		s.writeError(w, http.StatusServiceUnavailable, "engine disabled after repeated failures, retry later")
 	case errors.Is(entry.err, errShuttingDown):

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/guard"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -332,30 +330,6 @@ func TestTransientFailureNotCached(t *testing.T) {
 	}
 	if n := calls.Load(); n != 2 {
 		t.Fatalf("solver ran %d times, want 2 (timeouts are not cached)", n)
-	}
-}
-
-// TestFallbackBreakersOpenIsRetryable: when the fallback chain reports
-// that every member's breaker was open (no engine ran), the daemon must
-// answer a retryable 503 with Retry-After — not a definitive 200
-// "no_solution" — and must not cache the outcome.
-func TestFallbackBreakersOpenIsRetryable(t *testing.T) {
-	var calls atomic.Int64
-	_, ts := newTestServer(t, Config{
-		Solve: func(ctx context.Context, p *core.Problem, engine string, opts core.SolveOptions) (*core.Solution, error) {
-			calls.Add(1)
-			return nil, fmt.Errorf("guard: no fallback member admitted a run: %w", guard.ErrBreakersOpen)
-		},
-	})
-	p := testProblem(t, 0)
-	for i := 0; i < 2; i++ {
-		code, _ := postSolve(t, ts.Client(), ts.URL, SolveRequest{Problem: p})
-		if code != http.StatusServiceUnavailable {
-			t.Fatalf("HTTP %d, want 503", code)
-		}
-	}
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("solver ran %d times, want 2 (breakers-open is not cached)", n)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/grid"
+	"repro/internal/guard"
 	"repro/internal/reconfig"
 )
 
@@ -48,7 +49,8 @@ type Config struct {
 	Device *device.Device
 	// Engine is the floorplanner used as placement fallback when no free
 	// rectangle fits an arrival. nil disables the fallback: such
-	// arrivals are rejected outright.
+	// arrivals are rejected outright. The session runs it guarded: a
+	// panic or an invalid layout rejects the arrival.
 	Engine core.Engine
 	// FrameTime is the simulated configuration-port time per frame
 	// (0 = reconfig.DefaultFrameTime).
@@ -97,6 +99,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = DefaultSnapshotEvery
+	}
+	if c.Engine != nil {
+		c.Engine = guard.Wrap(c.Engine)
 	}
 	return c, nil
 }

@@ -1,11 +1,13 @@
 package session
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/grid"
 	"repro/internal/heuristic"
@@ -293,6 +295,66 @@ func TestFallbackPlacement(t *testing.T) {
 	}
 	if snap.Stats.CorruptedFrames != 0 {
 		t.Fatalf("corrupted frames: %+v", snap.Stats)
+	}
+}
+
+// faultyEngine is a fallback engine that misbehaves on every call.
+type faultyEngine struct {
+	calls int
+	solve func() (*core.Solution, error)
+}
+
+func (e *faultyEngine) Name() string { return "faulty" }
+
+func (e *faultyEngine) Solve(context.Context, *core.Problem, core.SolveOptions) (*core.Solution, error) {
+	e.calls++
+	return e.solve()
+}
+
+// TestFallbackEngineFaultsRejectArrival: a fallback engine that returns
+// no solution and no error, or panics, must turn the arrival into a
+// rejection with a reason — never a crash — and leave the session
+// consistent.
+func TestFallbackEngineFaultsRejectArrival(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		solve func() (*core.Solution, error)
+	}{
+		{"nil-nil", func() (*core.Solution, error) { return nil, nil }},
+		{"panic", func() (*core.Solution, error) { panic("fallback engine exploded") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := &faultyEngine{solve: tc.solve}
+			m := newTestManager(t, Config{FragThreshold: -1, Engine: eng})
+			var res *EventResult
+			for i := 0; eng.calls == 0; i++ {
+				if i == 200 {
+					t.Fatalf("greedy placement never failed: %+v", m.Stats())
+				}
+				var err error
+				res, err = m.Apply(Event{
+					Kind: Arrival, Name: fmt.Sprintf("fill-%d", i),
+					Req: device.Requirements{device.ClassCLB: 20}, Mode: int64(i),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !res.Rejected || res.Placed || res.Reason == "" {
+				t.Fatalf("arrival after a faulty fallback = %+v, want a rejection with a reason", res)
+			}
+			snap := m.Snapshot()
+			occupied := 0
+			for _, mod := range snap.Live {
+				occupied += mod.Rect.Area()
+			}
+			if snap.FreeTiles != m.cfg.Device.UsableTiles()-occupied {
+				t.Fatalf("free-space accounting off: %+v", snap)
+			}
+			if snap.Stats.CorruptedFrames != 0 {
+				t.Fatalf("corrupted frames: %+v", snap.Stats)
+			}
+		})
 	}
 }
 
