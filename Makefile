@@ -4,7 +4,8 @@
 #   make build   compile every package and the CLI/daemon binaries into bin/
 #   make serve   run the floorplanning service daemon locally
 #   make test      plain test run (no race detector; faster)
-#   make bench     candidate-enumeration cache benchmarks (hit vs miss)
+#   make bench     candidate-enumeration cache benchmarks (hit vs miss), the
+#                  mask overlap probe and a single-worker exact solve
 #   make obs-bench telemetry + profile-label overhead benchmarks (bare vs
 #                  no-op vs recorder; labels off vs on)
 #   make diag-smoke boot floorpland with chaos + fault injection, force an
@@ -84,7 +85,8 @@ race:
 	$(GO) test -race ./...
 
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkCandidate' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkCandidate|BenchmarkMaskOverlapsRect' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkParallelExact/workers-1$$' -benchmem -benchtime 1x .
 
 obs-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkObsOverhead|BenchmarkProfileLabelOverhead' -benchmem .

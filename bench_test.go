@@ -387,6 +387,32 @@ func BenchmarkCandidateEnumeration(b *testing.B) {
 	b.ReportMetric(float64(n), "candidates")
 }
 
+// BenchmarkMaskOverlapsRect measures the exact engine's innermost test: an
+// FX70T-sized mask holding a few placed regions, probed with every
+// candidate rectangle of the Video Decoder (the shapes the DFS probes).
+func BenchmarkMaskOverlapsRect(b *testing.B) {
+	d := device.VirtexFX70T()
+	cands := core.EnumerateCandidates(d, device.Requirements{device.ClassCLB: 55, device.ClassBRAM: 2, device.ClassDSP: 5})
+	m := grid.NewMask(d.Width(), d.Height())
+	for _, r := range []grid.Rect{{X: 0, Y: 0, W: 6, H: 5}, {X: 18, Y: 1, W: 13, H: 5}, {X: 34, Y: 6, W: 7, H: 2}} {
+		m.SetRect(r)
+	}
+	b.ResetTimer()
+	hits := 0
+	for i := 0; i < b.N; i++ {
+		for _, c := range cands {
+			if m.OverlapsRect(c.Rect) {
+				hits++
+			}
+		}
+	}
+	b.ReportMetric(float64(len(cands)), "probes/op")
+	benchSink = hits
+}
+
+// benchSink keeps benchmarked results live.
+var benchSink int
+
 // BenchmarkCandidateCache compares a memoized candidate lookup against
 // direct enumeration of the same shape — the speedup the portfolio's
 // racing members share when they hit core.CachedCandidates (the "hit"

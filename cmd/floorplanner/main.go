@@ -124,7 +124,9 @@ func run() error {
 		rec = floorplanner.NewRecorder()
 		solveOpts.Probe = rec
 	}
+	start := time.Now()
 	sol, err := floorplanner.Solve(context.Background(), p, solveOpts)
+	elapsed := time.Since(start)
 	if rec != nil {
 		// Print the telemetry before the outcome so it survives even the
 		// error paths below.
@@ -136,7 +138,7 @@ func run() error {
 		fmt.Println("INFEASIBLE: no floorplan satisfies the constraints")
 		return nil
 	case errors.Is(err, floorplanner.ErrNoSolution):
-		return fmt.Errorf("no solution found within %s (try a larger -time)", *timeLimit)
+		return noSolutionError(*engine, elapsed, *timeLimit)
 	case err != nil:
 		return err
 	}
@@ -163,6 +165,16 @@ func run() error {
 		fmt.Println("wrote", *outPath)
 	}
 	return nil
+}
+
+// noSolutionError explains an ErrNoSolution outcome. Only a solve that
+// ran into its budget points at -time; an engine that returned well
+// before the budget gave up on its own, and more time would not help it.
+func noSolutionError(engine string, elapsed, budget time.Duration) error {
+	if budget > 0 && elapsed < budget*9/10 {
+		return fmt.Errorf("no solution found: engine %s gave up after %.2fs of a %s budget", engine, elapsed.Seconds(), budget)
+	}
+	return fmt.Errorf("no solution found within %s (try a larger -time)", budget)
 }
 
 // runSession is the -session online mode: replay an event stream

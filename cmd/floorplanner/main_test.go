@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/sdr"
 )
@@ -56,5 +57,16 @@ func TestLoadProblemFromFile(t *testing.T) {
 	}
 	if _, err := loadProblem(bad, ""); err == nil {
 		t.Fatal("bad JSON accepted")
+	}
+}
+
+func TestNoSolutionErrorNamesWhoStopped(t *testing.T) {
+	gaveUp := noSolutionError("annealing", 150*time.Millisecond, 10*time.Second).Error()
+	if want := "no solution found: engine annealing gave up after 0.15s of a 10s budget"; gaveUp != want {
+		t.Errorf("early return: got %q, want %q", gaveUp, want)
+	}
+	timedOut := noSolutionError("annealing", 10*time.Second+3*time.Millisecond, 10*time.Second).Error()
+	if want := "no solution found within 10s (try a larger -time)"; timedOut != want {
+		t.Errorf("budget spent: got %q, want %q", timedOut, want)
 	}
 }

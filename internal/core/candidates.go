@@ -32,22 +32,15 @@ type Candidate struct {
 // (y, x, h) for determinism.
 func EnumerateCandidates(d *device.Device, req device.Requirements) []Candidate {
 	W, H := d.Width(), d.Height()
-	classes := classesOf(d)
-	need := make([]int, len(classes))
-	for i, cl := range classes {
-		need[i] = req[cl]
-	}
-	classIdx := make(map[device.Class]int, len(classes))
-	for i, cl := range classes {
-		classIdx[cl] = i
-	}
+	nc := len(d.Classes())
+	need := d.ClassNeeds(req, nil)
 
 	var out []Candidate
 	colCount := make([][]int, W) // per column: class tile counts for the current (y, h)
 	for c := range colCount {
-		colCount[c] = make([]int, len(classes))
+		colCount[c] = make([]int, nc)
 	}
-	have := make([]int, len(classes))
+	have := make([]int, nc)
 
 	for y := 0; y < H; y++ {
 		// Reset incremental column counts for this starting row.
@@ -59,8 +52,7 @@ func EnumerateCandidates(d *device.Device, req device.Requirements) []Candidate 
 		for h := 1; y+h <= H; h++ {
 			row := y + h - 1
 			for c := 0; c < W; c++ {
-				cl := d.Type(d.TypeAt(c, row)).Class
-				colCount[c][classIdx[cl]]++
+				colCount[c][d.ClassIndex(d.TypeAt(c, row))]++
 			}
 			// Two-pointer sweep: for each x, the minimal right edge is
 			// monotone non-decreasing.
@@ -86,7 +78,9 @@ func EnumerateCandidates(d *device.Device, req device.Requirements) []Candidate 
 				}
 				r := grid.Rect{X: x, Y: y, W: right - x, H: h}
 				if d.CanPlace(r) {
-					out = append(out, Candidate{Rect: r, Waste: d.WastedFrames(r, req)})
+					// have holds the window's per-class tile counts, so
+					// the waste is read off the sweep.
+					out = append(out, Candidate{Rect: r, Waste: d.ClassWaste(have, need)})
 				}
 				// Slide the left edge out before the next x.
 				for k, v := range colCount[x] {
@@ -118,20 +112,6 @@ func satisfied(have, need []int) bool {
 		}
 	}
 	return true
-}
-
-// classesOf returns the device's resource classes in deterministic order.
-func classesOf(d *device.Device) []device.Class {
-	seen := map[device.Class]bool{}
-	var out []device.Class
-	for _, t := range d.Types() {
-		if !seen[t.Class] {
-			seen[t.Class] = true
-			out = append(out, t.Class)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // MinWaste returns the smallest waste over all candidates, or -1 when the

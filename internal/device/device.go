@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/grid"
@@ -26,6 +27,15 @@ type Device struct {
 	types     []TileType
 	cells     []TypeID // row-major: cells[r*w+c]
 	forbidden []grid.Rect
+
+	// classes lists the resource classes of the tile types in ascending
+	// order; typeClass[id] is the index in classes of type id's class, and
+	// classFrames[k] is the per-tile frame count of classes[k], taken from
+	// the last tile type of that class. The waste and candidate sweeps
+	// count tiles per class index with these tables instead of maps.
+	classes     []Class
+	typeClass   []int
+	classFrames []int
 }
 
 // Dimension caps: real devices are a few hundred tiles on a side, so
@@ -100,7 +110,25 @@ func New(name string, w, h int, types []TileType, cells []TypeID, forbidden []gr
 		cells:     append([]TypeID(nil), cells...),
 		forbidden: append([]grid.Rect(nil), forbidden...),
 	}
+	d.indexClasses()
 	return d, nil
+}
+
+// indexClasses builds the per-class tables from d.types.
+func (d *Device) indexClasses() {
+	for _, t := range d.types {
+		if !slices.Contains(d.classes, t.Class) {
+			d.classes = append(d.classes, t.Class)
+		}
+	}
+	slices.Sort(d.classes)
+	d.typeClass = make([]int, len(d.types))
+	d.classFrames = make([]int, len(d.classes))
+	for id, t := range d.types {
+		k := slices.Index(d.classes, t.Class)
+		d.typeClass[id] = k
+		d.classFrames[k] = t.Frames
+	}
 }
 
 // NewColumnar builds a device whose tile type is uniform within each
@@ -257,23 +285,52 @@ func (d *Device) Satisfies(rect grid.Rect, rq Requirements) bool {
 // WastedFrames returns the configuration frames covered by rect in excess
 // of the class requirements rq. Excess tiles of a class waste that class's
 // per-tile frames; rect must satisfy rq for the result to be meaningful.
+// Tiles outside the device are not counted. It does not allocate on
+// devices with at most eight resource classes.
 func (d *Device) WastedFrames(rect grid.Rect, rq Requirements) int {
-	classFrames := map[Class]int{}
-	for _, t := range d.types {
-		classFrames[t.Class] = t.Frames
+	var haveBuf, needBuf [8]int
+	have, need := haveBuf[:0], needBuf[:0]
+	if n := len(d.classes); n > len(haveBuf) {
+		have, need = make([]int, 0, n), make([]int, 0, n)
 	}
+	have = have[:len(d.classes)]
+	need = d.ClassNeeds(rq, need)
+	x1, y1 := max(rect.X, 0), max(rect.Y, 0)
+	x2, y2 := min(rect.X2(), d.w), min(rect.Y2(), d.h)
+	for r := y1; r < y2 && x1 < x2; r++ {
+		for _, id := range d.cells[r*d.w+x1 : r*d.w+x2] {
+			have[d.typeClass[id]]++
+		}
+	}
+	return d.ClassWaste(have, need)
+}
+
+// Classes returns the resource classes of the device's tile types in
+// ascending order. Per-class tallies taken with ClassIndex, ClassNeeds
+// and ClassWaste are indexed like this slice, which must not be modified.
+func (d *Device) Classes() []Class { return d.classes }
+
+// ClassIndex returns the index in Classes of tile type id's class.
+func (d *Device) ClassIndex(id TypeID) int { return d.typeClass[id] }
+
+// ClassNeeds appends rq's count for each of Classes, in order, to dst[:0]
+// and returns it. Classes no tile type provides are left out.
+func (d *Device) ClassNeeds(rq Requirements, dst []int) []int {
+	dst = dst[:0]
+	for _, cl := range d.classes {
+		dst = append(dst, rq[cl])
+	}
+	return dst
+}
+
+// ClassWaste returns the frames of the per-class tile counts have in
+// excess of need, both indexed like Classes: each excess tile wastes its
+// class's per-tile frames (those of the class's last tile type).
+func (d *Device) ClassWaste(have, need []int) int {
 	waste := 0
-	have := d.CountClasses(rect)
-	classes := make([]Class, 0, len(have))
-	for cl := range have {
-		classes = append(classes, cl)
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-	for _, cl := range classes {
-		n := have[cl]
-		extra := n - rq[cl]
-		if extra > 0 {
-			waste += extra * classFrames[cl]
+	for k, n := range have {
+		if extra := n - need[k]; n > 0 && extra > 0 {
+			waste += extra * d.classFrames[k]
 		}
 	}
 	return waste

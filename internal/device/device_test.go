@@ -121,6 +121,15 @@ func TestWastedFrames(t *testing.T) {
 	}
 }
 
+func TestWastedFramesAllocationFree(t *testing.T) {
+	d := VirtexFX70T()
+	rq := Requirements{ClassCLB: 25, ClassDSP: 5}
+	r := grid.Rect{X: 4, Y: 0, W: 6, H: 6}
+	if allocs := testing.AllocsPerRun(100, func() { d.WastedFrames(r, rq) }); allocs != 0 {
+		t.Fatalf("WastedFrames allocates %.0f times per call, want 0", allocs)
+	}
+}
+
 func TestForbiddenQueries(t *testing.T) {
 	d := VirtexFX70T()
 	ppc := d.Forbidden()[0]

@@ -117,9 +117,15 @@ type searchState struct {
 	// is placed — the first depth where its FC bound applies.
 	groupReadyAt []int
 
-	mask          *grid.Mask
-	placed        []grid.Rect // per region (by region index)
-	slotCache     map[grid.Rect][]grid.Rect
+	mask   *grid.Mask
+	placed []grid.Rect // per region (by region index)
+	// placedIdx[ri] is the index in cands[ri] of region ri's placement,
+	// valid while placed[ri] is set; it keys slotCache.
+	placedIdx []int
+	// slotCache[ri][idx] holds slotsFor's result for candidate idx of
+	// region ri (nil until first asked). It is per search state, so
+	// parallel workers never share it.
+	slotCache     [][][]grid.Rect
 	best          triple
 	bestSol       *core.Solution
 	nodes         int64
@@ -168,15 +174,16 @@ func (e *Engine) Solve(ctx context.Context, p *core.Problem, opts core.SolveOpti
 	}
 
 	st := &searchState{
-		p:        p,
-		dev:      p.Device,
-		mask:     grid.NewMask(p.Device.Width(), p.Device.Height()),
-		placed:   make([]grid.Rect, len(p.Regions)),
-		best:     triple{miss: math.Inf(1), waste: math.MaxInt64 / 4, wl: math.Inf(1)},
-		maxNodes: e.MaxNodes,
-		ctx:      ctx,
-		deadline: deadline,
-		sp:       sp,
+		p:         p,
+		dev:       p.Device,
+		mask:      grid.NewMask(p.Device.Width(), p.Device.Height()),
+		placed:    make([]grid.Rect, len(p.Regions)),
+		placedIdx: make([]int, len(p.Regions)),
+		best:      triple{miss: math.Inf(1), waste: math.MaxInt64 / 4, wl: math.Inf(1)},
+		maxNodes:  e.MaxNodes,
+		ctx:       ctx,
+		deadline:  deadline,
+		sp:        sp,
 	}
 	if st.maxNodes <= 0 {
 		st.maxNodes = 50_000_000
@@ -311,6 +318,7 @@ func (e *Engine) solveParallel(tmpl *searchState, workers int) (*core.Solution, 
 			groupReadyAt: tmpl.groupReadyAt,
 			mask:         grid.NewMask(tmpl.dev.Width(), tmpl.dev.Height()),
 			placed:       make([]grid.Rect, len(tmpl.p.Regions)),
+			placedIdx:    make([]int, len(tmpl.p.Regions)),
 			best:         tmpl.best,
 			maxNodes:     tmpl.maxNodes,
 			deadline:     tmpl.deadline,
@@ -453,6 +461,7 @@ func (st *searchState) placeRegion(k, wasteSoFar int, wlSoFar float64) {
 		st.nodes++
 		st.mask.SetRect(cand.Rect)
 		st.placed[ri] = cand.Rect
+		st.placedIdx[ri] = idx
 
 		// Refine the bound with the wire length of the nets this placement
 		// completes and the relocation misses already forced by the partial
@@ -494,10 +503,11 @@ func (st *searchState) placeRegion(k, wasteSoFar int, wlSoFar float64) {
 // unplaced regions and lets slots overlap each other, so it upper-bounds
 // the truly packable count — both results are admissible for pruning.
 func (st *searchState) fcBound(k int) (feasible bool, missLB float64) {
-	for gi, g := range st.groups {
+	for gi := range st.groups {
 		if st.groupReadyAt[gi] > k {
 			continue // some member region not yet placed
 		}
+		g := &st.groups[gi]
 		want := g.required + g.optional
 		slots := st.countFreeSlotsForGroup(g, want)
 		if slots < g.required {
@@ -516,11 +526,12 @@ func (st *searchState) fcBound(k int) (feasible bool, missLB float64) {
 }
 
 // countFreeSlotsForGroup counts the group's compatible placements that are
-// free in the current mask, stopping early at limit.
-func (st *searchState) countFreeSlotsForGroup(g fcGroup, limit int) int {
+// free in the current mask, stopping early at limit. It filters like
+// groupSlots without materializing the list.
+func (st *searchState) countFreeSlotsForGroup(g *fcGroup, limit int) int {
 	n := 0
-	for _, slot := range st.groupSlots(g) {
-		if !st.mask.OverlapsRect(slot) {
+	for _, slot := range st.slotsFor(g.region()) {
+		if st.fitsGroup(g, slot) && !st.mask.OverlapsRect(slot) {
 			n++
 			if n >= limit {
 				return n
@@ -531,40 +542,50 @@ func (st *searchState) countFreeSlotsForGroup(g fcGroup, limit int) int {
 }
 
 // groupSlots enumerates the legal placements compatible with every region
-// of the group. Single-region groups use the per-rect cache; multi-region
-// sets additionally filter by the extra regions' placements.
-func (st *searchState) groupSlots(g fcGroup) []grid.Rect {
-	base := st.slotsFor(st.placed[g.region()])
+// of the group. Single-region groups use the per-candidate cache;
+// multi-region sets additionally filter by the extra regions' placements.
+func (st *searchState) groupSlots(g *fcGroup) []grid.Rect {
+	base := st.slotsFor(g.region())
 	if len(g.regions) == 1 {
 		return base
 	}
 	out := make([]grid.Rect, 0, len(base))
 	for _, slot := range base {
-		ok := true
-		for _, ri := range g.regions[1:] {
-			if slot == st.placed[ri] || !st.dev.Compatible(st.placed[ri], slot) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if st.fitsGroup(g, slot) {
 			out = append(out, slot)
 		}
 	}
 	return out
 }
 
-// slotsFor enumerates the legal compatible placements of src (excluding
-// src itself, which is occupied by the region). Results are cached per
-// source rectangle: the same candidate rectangles recur across millions
-// of search nodes.
-func (st *searchState) slotsFor(src grid.Rect) []grid.Rect {
-	if st.slotCache == nil {
-		st.slotCache = make(map[grid.Rect][]grid.Rect)
+// fitsGroup reports whether slot, a compatible placement of the group's
+// primary region, is also one of every other region of the group.
+func (st *searchState) fitsGroup(g *fcGroup, slot grid.Rect) bool {
+	for _, ri := range g.regions[1:] {
+		if slot == st.placed[ri] || !st.dev.Compatible(st.placed[ri], slot) {
+			return false
+		}
 	}
-	if cached, ok := st.slotCache[src]; ok {
+	return true
+}
+
+// slotsFor enumerates the legal compatible placements of placed region
+// ri's rectangle src (excluding src itself, which is occupied by the
+// region). Results are cached per candidate: the same candidates recur
+// across millions of search nodes, and indexing by candidate makes the
+// lookup two slice loads instead of a rectangle hash.
+func (st *searchState) slotsFor(ri int) []grid.Rect {
+	if st.slotCache == nil {
+		st.slotCache = make([][][]grid.Rect, len(st.cands))
+	}
+	if st.slotCache[ri] == nil {
+		st.slotCache[ri] = make([][]grid.Rect, len(st.cands[ri]))
+	}
+	idx := st.placedIdx[ri]
+	if cached := st.slotCache[ri][idx]; cached != nil {
 		return cached
 	}
+	src := st.placed[ri]
 	all := st.dev.CompatiblePlacements(src)
 	out := make([]grid.Rect, 0, len(all))
 	for _, r := range all {
@@ -572,7 +593,7 @@ func (st *searchState) slotsFor(src grid.Rect) []grid.Rect {
 			out = append(out, r)
 		}
 	}
-	st.slotCache[src] = out
+	st.slotCache[ri][idx] = out
 	return out
 }
 
@@ -628,7 +649,7 @@ func (st *searchState) solveFC(budget triple) (map[int]grid.Rect, float64, bool)
 	}
 	// Materialize per-group slot lists against the final mask.
 	for _, g := range st.groups {
-		slots := st.groupSlots(g)
+		slots := st.groupSlots(&g)
 		free := make([]grid.Rect, 0, len(slots))
 		for _, s := range slots {
 			if !st.mask.OverlapsRect(s) {

@@ -209,6 +209,73 @@ func TestMaskMatchesRects(t *testing.T) {
 	}
 }
 
+// TestMaskMatchesTileReference interleaves random SetRect, ClearRect and
+// OverlapsRect calls against a per-tile [][]bool model. The widths put a
+// row in one word, exactly fill one or two words, or spill one column
+// into the next word; rects reach past every edge of the grid to exercise
+// the clip.
+func TestMaskMatchesTileReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, w := range []int{1, 41, 63, 64, 65, 128, 129} {
+		for trial := 0; trial < 20; trial++ {
+			h := 1 + rng.Intn(9)
+			m := NewMask(w, h)
+			ref := make([][]bool, h)
+			for r := range ref {
+				ref[r] = make([]bool, w)
+			}
+			randRect := func() Rect {
+				return Rect{
+					X: rng.Intn(w+8) - 4, Y: rng.Intn(h+4) - 2,
+					W: rng.Intn(w + 4), H: rng.Intn(h + 2),
+				}
+			}
+			// covered visits the tiles of rect inside the grid.
+			covered := func(rect Rect, fn func(c, r int)) {
+				for r := max(rect.Y, 0); r < min(rect.Y2(), h); r++ {
+					for c := max(rect.X, 0); c < min(rect.X2(), w); c++ {
+						fn(c, r)
+					}
+				}
+			}
+			for op := 0; op < 60; op++ {
+				rect := randRect()
+				switch rng.Intn(3) {
+				case 0:
+					m.SetRect(rect)
+					covered(rect, func(c, r int) { ref[r][c] = true })
+				case 1:
+					m.ClearRect(rect)
+					covered(rect, func(c, r int) { ref[r][c] = false })
+				default:
+					want := false
+					covered(rect, func(c, r int) { want = want || ref[r][c] })
+					if got := m.OverlapsRect(rect); got != want {
+						t.Fatalf("w=%d h=%d op %d: OverlapsRect(%v) = %v, want %v", w, h, op, rect, got, want)
+					}
+				}
+			}
+			count := 0
+			for r := 0; r < h; r++ {
+				for c := 0; c < w; c++ {
+					if got := m.Get(c, r); got != ref[r][c] {
+						t.Fatalf("w=%d h=%d: Get(%d,%d) = %v, want %v", w, h, c, r, got, ref[r][c])
+					}
+					if ref[r][c] {
+						count++
+					}
+				}
+			}
+			if got := m.Count(); got != count {
+				t.Fatalf("w=%d h=%d: Count = %d, want %d", w, h, got, count)
+			}
+			if got := m.Any(); got != (count > 0) {
+				t.Fatalf("w=%d h=%d: Any = %v with %d tiles set", w, h, got, count)
+			}
+		}
+	}
+}
+
 func TestMaskSetClearRoundTrip(t *testing.T) {
 	m := NewMask(41, 8)
 	r := Rect{X: 5, Y: 2, W: 30, H: 4}

@@ -6,10 +6,16 @@ import "math/bits"
 // workhorse of the combinatorial placement engines: overlap tests against
 // the set of already-placed rectangles reduce to word-wise AND.
 //
-// Bits are stored row-major: the tile (c, r) maps to bit r*W + c.
+// Each row owns stride = ceil(W/64) whole words, so no word holds tiles of
+// two rows: the tile (c, r) is bit c&63 of word r*stride + c>>6. The
+// columns of a rectangle therefore map to the same word masks on every row
+// it covers. On a device at most 64 columns wide (the FX70T is 41) that is
+// one precomputed word per row; wider grids take one word more per 64
+// columns spanned. The padding bits past column W-1 are never set.
 type Mask struct {
-	w, h  int
-	words []uint64
+	w, h   int
+	stride int // words per row
+	words  []uint64
 }
 
 // NewMask returns an empty mask for a w x h grid.
@@ -17,15 +23,15 @@ func NewMask(w, h int) *Mask {
 	if w <= 0 || h <= 0 {
 		panic("grid: non-positive mask dimensions")
 	}
-	n := (w*h + 63) / 64
-	return &Mask{w: w, h: h, words: make([]uint64, n)}
+	stride := (w + 63) / 64
+	return &Mask{w: w, h: h, stride: stride, words: make([]uint64, stride*h)}
 }
 
 // Clone returns a deep copy of the mask.
 func (m *Mask) Clone() *Mask {
-	cp := &Mask{w: m.w, h: m.h, words: make([]uint64, len(m.words))}
-	copy(cp.words, m.words)
-	return cp
+	cp := *m
+	cp.words = append([]uint64(nil), m.words...)
+	return &cp
 }
 
 // W returns the grid width.
@@ -34,57 +40,90 @@ func (m *Mask) W() int { return m.w }
 // H returns the grid height.
 func (m *Mask) H() int { return m.h }
 
-func (m *Mask) bit(c, r int) (word, off int) {
-	idx := r*m.w + c
-	return idx >> 6, idx & 63
+func (m *Mask) bit(c, r int) (word int, bit uint64) {
+	return r*m.stride + c>>6, 1 << uint(c&63)
 }
 
 // Get reports whether tile (c, r) is set.
 func (m *Mask) Get(c, r int) bool {
-	w, off := m.bit(c, r)
-	return m.words[w]&(1<<uint(off)) != 0
+	w, b := m.bit(c, r)
+	return m.words[w]&b != 0
 }
 
 // Set marks tile (c, r).
 func (m *Mask) Set(c, r int) {
-	w, off := m.bit(c, r)
-	m.words[w] |= 1 << uint(off)
+	w, b := m.bit(c, r)
+	m.words[w] |= b
 }
 
 // Clear unmarks tile (c, r).
 func (m *Mask) Clear(c, r int) {
-	w, off := m.bit(c, r)
-	m.words[w] &^= 1 << uint(off)
+	w, b := m.bit(c, r)
+	m.words[w] &^= b
+}
+
+// span clips rect to the grid and returns it in word terms: rows
+// [y1, y2), words lo..hi of each row, and the column bits of the first
+// and of the last of those words (when lo == hi the row's bits are
+// first&last). A rect with no tile in the grid gets y1 >= y2.
+func (m *Mask) span(rect Rect) (y1, y2, lo, hi int, first, last uint64) {
+	x1, x2 := max(rect.X, 0), min(rect.X+rect.W, m.w)-1 // inclusive
+	y1, y2 = max(rect.Y, 0), min(rect.Y+rect.H, m.h)
+	if x1 > x2 {
+		y2 = y1
+	}
+	return y1, y2, x1 >> 6, x2 >> 6, ^uint64(0) << uint(x1&63), ^uint64(0) >> uint(63-(x2&63))
 }
 
 // SetRect marks every tile covered by rect. Tiles outside the grid are
 // ignored.
-func (m *Mask) SetRect(rect Rect) {
-	m.forRowSpans(rect, func(word int, bitsMask uint64) bool {
-		m.words[word] |= bitsMask
-		return true
-	})
-}
+func (m *Mask) SetRect(rect Rect) { m.fill(rect, ^uint64(0)) }
 
 // ClearRect unmarks every tile covered by rect.
-func (m *Mask) ClearRect(rect Rect) {
-	m.forRowSpans(rect, func(word int, bitsMask uint64) bool {
-		m.words[word] &^= bitsMask
-		return true
-	})
+func (m *Mask) ClearRect(rect Rect) { m.fill(rect, 0) }
+
+// fill writes v (all ones or all zeros) over the tiles covered by rect.
+func (m *Mask) fill(rect Rect, v uint64) {
+	y1, y2, lo, hi, first, last := m.span(rect)
+	if lo == hi {
+		bits := first & last
+		for i := y1*m.stride + lo; i < y2*m.stride; i += m.stride {
+			m.words[i] = m.words[i]&^bits | v&bits
+		}
+		return
+	}
+	for i := y1 * m.stride; i < y2*m.stride; i += m.stride {
+		m.words[i+lo] = m.words[i+lo]&^first | v&first
+		for j := i + lo + 1; j < i+hi; j++ {
+			m.words[j] = v
+		}
+		m.words[i+hi] = m.words[i+hi]&^last | v&last
+	}
 }
 
 // OverlapsRect reports whether any tile covered by rect is set.
 func (m *Mask) OverlapsRect(rect Rect) bool {
-	overlap := false
-	m.forRowSpans(rect, func(word int, bitsMask uint64) bool {
-		if m.words[word]&bitsMask != 0 {
-			overlap = true
-			return false
+	y1, y2, lo, hi, first, last := m.span(rect)
+	if lo == hi {
+		bits := first & last
+		for i := y1*m.stride + lo; i < y2*m.stride; i += m.stride {
+			if m.words[i]&bits != 0 {
+				return true
+			}
 		}
-		return true
-	})
-	return overlap
+		return false
+	}
+	for i := y1 * m.stride; i < y2*m.stride; i += m.stride {
+		if m.words[i+lo]&first != 0 || m.words[i+hi]&last != 0 {
+			return true
+		}
+		for j := i + lo + 1; j < i+hi; j++ {
+			if m.words[j] != 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Count returns the number of set tiles.
@@ -110,37 +149,5 @@ func (m *Mask) Any() bool {
 func (m *Mask) Reset() {
 	for i := range m.words {
 		m.words[i] = 0
-	}
-}
-
-// forRowSpans visits, word by word, the bit spans covered by rect clipped
-// to the grid, invoking fn with a word index and the bits of that word
-// belonging to the span. fn returns false to stop early.
-func (m *Mask) forRowSpans(rect Rect, fn func(word int, bitsMask uint64) bool) {
-	clipped, ok := rect.Intersect(Rect{X: 0, Y: 0, W: m.w, H: m.h})
-	if !ok {
-		return
-	}
-	for r := clipped.Y; r < clipped.Y2(); r++ {
-		start := r*m.w + clipped.X
-		end := start + clipped.W // exclusive
-		for start < end {
-			word := start >> 6
-			off := start & 63
-			n := 64 - off
-			if rem := end - start; rem < n {
-				n = rem
-			}
-			var span uint64
-			if n == 64 {
-				span = ^uint64(0)
-			} else {
-				span = ((uint64(1) << uint(n)) - 1) << uint(off)
-			}
-			if !fn(word, span) {
-				return
-			}
-			start += n
-		}
 	}
 }
