@@ -5,7 +5,8 @@
 #   make serve   run the floorplanning service daemon locally
 #   make test      plain test run (no race detector; faster)
 #   make bench     candidate-enumeration cache benchmarks (hit vs miss), the
-#                  mask overlap probe and a single-worker exact solve
+#                  mask overlap probe, a single-worker exact solve, the
+#                  relocation filter and a 500-event online session
 #   make obs-bench telemetry + profile-label overhead benchmarks (bare vs
 #                  no-op vs recorder; labels off vs on)
 #   make diag-smoke boot floorpland with chaos + fault injection, force an
@@ -24,8 +25,9 @@
 #   make sim-faults run the floorsim soak under injected reconfiguration
 #                  faults (SIM_FAULT_SEED) and validate the report —
 #                  proves zero corrupted frames and zero lost tasks
-#   make fuzz      short fuzz smoke over the wire-format decoders
-#                  (FUZZTIME=10s per target by default)
+#   make fuzz      short fuzz smoke over the wire-format decoders and the
+#                  configuration-memory plane (FUZZTIME=10s per target by
+#                  default)
 
 GO       ?= go
 BIN      := bin
@@ -86,6 +88,7 @@ race:
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkCandidate|BenchmarkMaskOverlapsRect' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkSessionApply|BenchmarkBitstreamRelocate' -benchmem -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelExact/workers-1$$' -benchmem -benchtime 1x .
 
 obs-bench:
@@ -126,6 +129,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzProblemDecode      -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzSolveRequestDecode -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzDecode             -fuzztime $(FUZZTIME) ./internal/bitstream
+	$(GO) test -run '^$$' -fuzz FuzzConfigMemory       -fuzztime $(FUZZTIME) ./internal/bitstream
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay          -fuzztime $(FUZZTIME) ./internal/session
 
 serve: build

@@ -349,6 +349,32 @@ func BenchmarkBitstreamRelocate(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionApply measures the online path end to end: one seeded
+// 500-event stream applied to a fresh FX70T session with the constructive
+// engine as fallback. Every arrival, departure and defragmentation move
+// goes through reconfig and the configuration-memory plane.
+func BenchmarkSessionApply(b *testing.B) {
+	dev := floorplanner.VirtexFX70T()
+	events := floorplanner.GenerateWorkload(floorplanner.WorkloadConfig{Seed: 3, Events: 500, Intensity: 0.6})
+	eng, err := floorplanner.NewEngine("constructive")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := floorplanner.NewSession(floorplanner.SessionConfig{Device: dev, Engine: eng})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ev := range events {
+			if _, err := s.Apply(ev); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.N*len(events))/b.Elapsed().Seconds(), "events/s")
+}
+
 // BenchmarkRuntimeRelocation measures the end-to-end runtime experiment:
 // floorplan SDR2, bring the system up, migrate every relocatable module
 // through its reserved areas.

@@ -22,7 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"sync"
 
 	"repro/internal/device"
 	"repro/internal/grid"
@@ -101,7 +101,7 @@ func Generate(d *device.Device, area grid.Rect, seed int64) (*Bitstream, error) 
 	if !d.CanPlace(area) {
 		return nil, fmt.Errorf("bitstream: area %v is not a legal placement on %s", area, d.Name())
 	}
-	bs := &Bitstream{DeviceName: d.Name(), Area: area}
+	bs := &Bitstream{DeviceName: d.Name(), Area: area, Frames: make([]Frame, 0, d.FramesInRect(area))}
 	area.Tiles(func(c, r int) {
 		t := d.TypeAt(c, r)
 		frames := d.Type(t).Frames
@@ -127,25 +127,68 @@ func (bs *Bitstream) CheckCRC() bool {
 	return bs.CRC == bs.checksum()
 }
 
+// checksum hashes the device name, the area as four int64s, then every
+// frame as three int64 address fields and its payload. The byte stream is
+// part of the Encode format: changing it changes every stored CRC.
 func (bs *Bitstream) checksum() uint32 {
-	h := crc32.NewIEEE()
-	h.Write([]byte(bs.DeviceName))
-	var buf [8]byte
-	writeInt := func(v int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-		h.Write(buf[:])
+	s := newCRCStream()
+	s.crc = crc32.ChecksumIEEE([]byte(bs.DeviceName))
+	for _, v := range [4]int{bs.Area.X, bs.Area.Y, bs.Area.W, bs.Area.H} {
+		binary.LittleEndian.PutUint64(s.next(8), uint64(int64(v)))
 	}
-	writeInt(bs.Area.X)
-	writeInt(bs.Area.Y)
-	writeInt(bs.Area.W)
-	writeInt(bs.Area.H)
-	for _, f := range bs.Frames {
-		writeInt(f.Addr.Column)
-		writeInt(f.Addr.Row)
-		writeInt(f.Addr.Minor)
-		h.Write(f.Payload[:])
+	for i := range bs.Frames {
+		f := &bs.Frames[i]
+		b := s.next(24 + FrameBytes)
+		binary.LittleEndian.PutUint64(b[0:], uint64(int64(f.Addr.Column)))
+		binary.LittleEndian.PutUint64(b[8:], uint64(int64(f.Addr.Row)))
+		binary.LittleEndian.PutUint64(b[16:], uint64(int64(f.Addr.Minor)))
+		copy(b[24:], f.Payload[:])
 	}
-	return h.Sum32()
+	return s.sum()
+}
+
+// crcChunk is the size of the buffer a crcStream hashes in one call.
+const crcChunk = 4096
+
+var crcBufs = sync.Pool{New: func() any { return new([crcChunk]byte) }}
+
+// crcStream computes a CRC-32 (IEEE) through a pooled buffer, so the hash
+// sees a few long writes (its carry-less-multiply path) rather than one
+// short write per field. The result equals hashing the same bytes through
+// crc32.NewIEEE.
+type crcStream struct {
+	crc uint32
+	n   int
+	buf *[crcChunk]byte
+}
+
+func newCRCStream() crcStream {
+	return crcStream{buf: crcBufs.Get().(*[crcChunk]byte)}
+}
+
+// next returns the following k bytes of the stream for the caller to
+// fill (k <= crcChunk).
+func (s *crcStream) next(k int) []byte {
+	if s.n+k > crcChunk {
+		s.flush()
+	}
+	b := s.buf[s.n : s.n+k]
+	s.n += k
+	return b
+}
+
+func (s *crcStream) flush() {
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, s.buf[:s.n])
+	s.n = 0
+}
+
+// sum hashes what is buffered and returns the buffer to the pool; the
+// stream must not be used afterwards.
+func (s *crcStream) sum() uint32 {
+	s.flush()
+	crcBufs.Put(s.buf)
+	s.buf = nil
+	return s.crc
 }
 
 // FrameCount returns the number of frames, which for a generated
@@ -181,156 +224,4 @@ func Relocate(d *device.Device, bs *Bitstream, target grid.Rect) (*Bitstream, er
 	}
 	out.Seal()
 	return out, nil
-}
-
-// ConfigMemory simulates the device's configuration memory plane: frames
-// are written through Load, which performs the checks the configuration
-// interface (and a bitstream filter) would perform.
-type ConfigMemory struct {
-	dev    *device.Device
-	frames map[FrameAddress][FrameBytes]byte
-	owner  map[FrameAddress]string
-}
-
-// NewConfigMemory returns an empty configuration memory for d.
-func NewConfigMemory(d *device.Device) *ConfigMemory {
-	return &ConfigMemory{
-		dev:    d,
-		frames: make(map[FrameAddress][FrameBytes]byte),
-		owner:  make(map[FrameAddress]string),
-	}
-}
-
-// Load writes a partial bitstream into configuration memory under the
-// given task name. It rejects bitstreams with a stale CRC, frames outside
-// the device or its stated area, frames addressed at forbidden tiles, and
-// minor indices beyond the tile type's frame count. Tiles already owned
-// by a different task are rejected too (the "must not overlap other
-// tasks" rule of Definition .2).
-func (cm *ConfigMemory) Load(bs *Bitstream, task string) error {
-	if bs.DeviceName != cm.dev.Name() {
-		return fmt.Errorf("bitstream: device mismatch: %q vs %q", bs.DeviceName, cm.dev.Name())
-	}
-	if !bs.CheckCRC() {
-		return fmt.Errorf("bitstream: CRC mismatch (filter forgot to reseal?)")
-	}
-	bounds := cm.dev.Bounds()
-	for _, f := range bs.Frames {
-		if !bounds.Contains(f.Addr.Column, f.Addr.Row) {
-			return fmt.Errorf("bitstream: frame %v outside the device", f.Addr)
-		}
-		if !bs.Area.Contains(f.Addr.Column, f.Addr.Row) {
-			return fmt.Errorf("bitstream: frame %v outside the declared area %v", f.Addr, bs.Area)
-		}
-		if cm.dev.InForbidden(f.Addr.Column, f.Addr.Row) {
-			return fmt.Errorf("bitstream: frame %v targets a forbidden tile", f.Addr)
-		}
-		t := cm.dev.TileAt(f.Addr.Column, f.Addr.Row)
-		if f.Addr.Minor < 0 || f.Addr.Minor >= t.Frames {
-			return fmt.Errorf("bitstream: frame %v has minor index beyond %s's %d frames", f.Addr, t.Name, t.Frames)
-		}
-		if owner, taken := cm.owner[f.Addr]; taken && owner != task {
-			return fmt.Errorf("bitstream: frame %v already configured by task %q", f.Addr, owner)
-		}
-	}
-	for _, f := range bs.Frames {
-		cm.frames[f.Addr] = f.Payload
-		cm.owner[f.Addr] = task
-	}
-	return nil
-}
-
-// Unload clears every frame owned by the task (the area becomes free for
-// relocation targets again).
-func (cm *ConfigMemory) Unload(task string) {
-	for addr, owner := range cm.owner {
-		if owner == task {
-			delete(cm.frames, addr)
-			delete(cm.owner, addr)
-		}
-	}
-}
-
-// Frame reads back one configured frame.
-func (cm *ConfigMemory) Frame(addr FrameAddress) ([FrameBytes]byte, bool) {
-	p, ok := cm.frames[addr]
-	return p, ok
-}
-
-// CorruptFrame flips the given bit mask into the first payload word of a
-// loaded frame, reporting whether the frame existed. It models an upset
-// during shift-in — the write "succeeded" but the stored content is
-// wrong — and exists for fault injection; only readback can detect it.
-func (cm *ConfigMemory) CorruptFrame(addr FrameAddress, mask byte) bool {
-	p, ok := cm.frames[addr]
-	if !ok {
-		return false
-	}
-	p[0] ^= mask
-	cm.frames[addr] = p
-	return true
-}
-
-// Digest hashes every configured frame (address and payload, in address
-// order) into one CRC-32. Two configuration memories holding the same
-// design content at the same locations digest identically — the
-// frame-for-frame equality check crash-recovery verification relies on.
-func (cm *ConfigMemory) Digest() uint32 {
-	addrs := make([]FrameAddress, 0, len(cm.frames))
-	for addr := range cm.frames {
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool {
-		a, b := addrs[i], addrs[j]
-		if a.Column != b.Column {
-			return a.Column < b.Column
-		}
-		if a.Row != b.Row {
-			return a.Row < b.Row
-		}
-		return a.Minor < b.Minor
-	})
-	h := crc32.NewIEEE()
-	var buf [8]byte
-	for _, addr := range addrs {
-		binary.LittleEndian.PutUint16(buf[0:], uint16(addr.Column))
-		binary.LittleEndian.PutUint16(buf[2:], uint16(addr.Row))
-		binary.LittleEndian.PutUint16(buf[4:], uint16(addr.Minor))
-		h.Write(buf[:6])
-		p := cm.frames[addr]
-		h.Write(p[:])
-	}
-	return h.Sum32()
-}
-
-// LoadedFrames returns the number of configured frames.
-func (cm *ConfigMemory) LoadedFrames() int { return len(cm.frames) }
-
-// TaskEquivalent reports whether two tasks' configurations are
-// functionally identical: same relative frame layout and payloads within
-// their areas. A correct relocation always satisfies this.
-func (cm *ConfigMemory) TaskEquivalent(taskA string, areaA grid.Rect, taskB string, areaB grid.Rect) bool {
-	if !areaA.SameShape(areaB) {
-		return false
-	}
-	framesA := map[FrameAddress][FrameBytes]byte{}
-	for addr, owner := range cm.owner {
-		if owner == taskA {
-			rel := FrameAddress{Column: addr.Column - areaA.X, Row: addr.Row - areaA.Y, Minor: addr.Minor}
-			framesA[rel] = cm.frames[addr]
-		}
-	}
-	count := 0
-	for addr, owner := range cm.owner {
-		if owner != taskB {
-			continue
-		}
-		count++
-		rel := FrameAddress{Column: addr.Column - areaB.X, Row: addr.Row - areaB.Y, Minor: addr.Minor}
-		pa, ok := framesA[rel]
-		if !ok || pa != cm.frames[addr] {
-			return false
-		}
-	}
-	return count == len(framesA) && count > 0
 }

@@ -54,10 +54,14 @@ func (s *simplex) warmSolve(wb *Basis, returnBasis bool) (Solution, bool) {
 
 	s.cost = make([]float64, s.n)
 	copy(s.cost, s.cost2)
+	s.perturbCosts()
 	switch st := s.dualRun(); st {
 	case StatusOptimal:
-		// Primal feasibility restored; let the primal polish any dual
-		// infeasibility left by tolerance drift and confirm optimality.
+		// Primal feasibility restored under the perturbed costs. Put the
+		// true costs back and let the primal polish the dual
+		// infeasibility that leaves (and any from tolerance drift) and
+		// confirm optimality.
+		copy(s.cost, s.cost2)
 		s.bland = false
 		s.degenStreak = 0
 		switch st2 := s.run(); st2 {
@@ -82,6 +86,40 @@ func (s *simplex) warmSolve(wb *Basis, returnBasis bool) (Solution, bool) {
 		return Solution{}, false
 	default:
 		return Solution{}, false
+	}
+}
+
+// costPerturbation is the relative size of the cost shift perturbCosts
+// gives each nonbasic column.
+const costPerturbation = 1e-5
+
+// perturbCosts shifts the cost of every non-fixed nonbasic column by a
+// small deterministic amount in its dual-feasible direction: up at a
+// lower bound, down at an upper bound (free columns keep theirs). A
+// branch-and-bound child inherits an optimal basis whose reduced costs
+// are mostly exactly zero, so every dual ratio test ties at zero and the
+// dual simplex can pivot for thousands of iterations without moving the
+// objective. Distinct strictly positive reduced costs break those ties.
+// The shift changes only the objective: an infeasibility verdict of the
+// dual run stands, and an optimal one is re-polished under the true
+// costs.
+func (s *simplex) perturbCosts() {
+	for j := 0; j < s.n; j++ {
+		var sign float64
+		switch s.stat[j] {
+		case nbLower:
+			sign = 1
+		case nbUpper:
+			sign = -1
+		default:
+			continue
+		}
+		if s.lo[j] == s.hi[j] {
+			continue
+		}
+		// A fixed hash of j spreads the shifts over [0.5, 1) of the scale.
+		spread := 0.5 + 0.5*float64(uint32(j)*2654435761>>16)/65536
+		s.cost[j] += sign * costPerturbation * (1 + math.Abs(s.cost[j])) * spread
 	}
 }
 
